@@ -1,21 +1,32 @@
-//! The seed-style engine, kept as a measurement arm.
+//! The seed-style engine: the simulator's independent reference model.
 //!
 //! This is (a compact copy of) the engine this workspace shipped with
 //! before the packed message plane: inboxes and outboxes are
 //! `Vec<Option<M>>` slabs, every round pays an O(arcs) `Option` clear,
 //! and delivery is a clear-then-clone pass through the reverse-arc table.
-//! `benches/sim_throughput.rs` races it against the packed engine and
-//! records the ratio in `BENCH_sim.json`; nothing else should use it.
+//! It shares none of the live engine's message plane — no packed words,
+//! no occupancy bitsets, no broadcast plane, no bit-sliced meters, no
+//! shards — which is what makes it the differential oracle: the
+//! property tests and `benches/sim_throughput.rs` assert the live
+//! engine's outputs, [`RunStats`], traces, and per-edge congestion equal
+//! to this engine's, and the bench races the two.
+//!
+//! Of [`EngineConfig`] it honors `max_rounds`, `collect_trace`, and
+//! `faults` (dropped with the live engine's rule: a staged message on a
+//! blocked edge is destroyed, counted in
+//! [`RunStats::dropped_messages`], and never metered as traffic). It
+//! always runs serially and has no per-node RNG; workloads that need
+//! randomness carry their own [`crate::rng::node_rng`] stream.
 //!
 //! It drives [`BaselineProtocol`] rather than [`crate::Protocol`] because
-//! the two engines expose different context types; benchmark workloads
-//! implement both traits with identical logic so the comparison measures
-//! the message plane, not the workload.
+//! the two engines expose different context types; workloads implement
+//! both traits with identical logic.
 
+use crate::engine::{EngineConfig, EngineError, RunOutcome, RunStats};
 use crate::message::MsgBits;
 use congest_graph::{Graph, Node, Port};
 
-/// Node program for the baseline engine (bench workloads only).
+/// Node program for the baseline engine (oracle and bench workloads).
 pub trait BaselineProtocol: Send {
     type Msg: Clone + Send + Sync + MsgBits;
     type Output: Send;
@@ -31,9 +42,10 @@ pub struct BaselineCtx<'a, M> {
     inbox: &'a [Option<M>],
     outbox: &'a mut [Option<M>],
     done: &'a mut bool,
+    max_bits: &'a mut usize,
 }
 
-impl<M: Clone> BaselineCtx<'_, M> {
+impl<M: Clone + MsgBits> BaselineCtx<'_, M> {
     #[inline]
     pub fn degree(&self) -> usize {
         self.inbox.len()
@@ -50,16 +62,22 @@ impl<M: Clone> BaselineCtx<'_, M> {
         self.inbox.iter().filter(|m| m.is_some()).count()
     }
 
+    /// Stage `msg` on `port`, metering its size at send time (as
+    /// [`crate::NodeCtx::send`] does, so a message the adversary later
+    /// drops still counts toward [`RunStats::max_message_bits`]).
     #[inline]
     pub fn send(&mut self, port: Port, msg: M) {
+        *self.max_bits = (*self.max_bits).max(msg.bits());
         let slot = &mut self.outbox[port as usize];
         assert!(slot.is_none(), "baseline CONGEST violation on port {port}");
         *slot = Some(msg);
     }
 
     pub fn send_all(&mut self, msg: M) {
-        for p in 0..self.outbox.len() {
-            self.send(p as Port, msg.clone());
+        *self.max_bits = (*self.max_bits).max(msg.bits());
+        for slot in self.outbox.iter_mut() {
+            assert!(slot.is_none(), "baseline CONGEST violation in send_all");
+            *slot = Some(msg.clone());
         }
     }
 
@@ -69,29 +87,19 @@ impl<M: Clone> BaselineCtx<'_, M> {
     }
 }
 
-/// Outcome mirror of [`crate::RunOutcome`], reduced to what the bench
-/// and the differential harness compare.
-pub struct BaselineOutcome<O> {
-    pub outputs: Vec<O>,
-    pub rounds: u64,
-    pub total_messages: u64,
-    pub max_message_bits: usize,
-    /// Per-edge congestion (both directions summed), indexed by edge id —
-    /// the seed engine's own `arc_traffic` counters folded exactly the
-    /// way the packed engines fold theirs, so the three-way differential
-    /// harness can assert the meters bit-identical.
-    pub edge_congestion: Vec<u64>,
-    pub max_edge_congestion: u64,
-}
-
-/// Run the seed-style engine (serial — the seed's parallel path brought
-/// the same O(arcs) clears and clones, so the serial arm is the honest
-/// per-core comparison).
+/// Run the seed-style engine to global termination (all nodes done and
+/// no message in flight) or `config.max_rounds`, returning the same
+/// outcome shape as [`crate::run_protocol`] so oracle checks compare
+/// `outputs`, `stats`, `trace`, and `edge_congestion` directly.
+///
+/// Serial only — the seed's parallel path brought the same O(arcs)
+/// clears and clones, so the serial arm is the honest per-core
+/// comparison.
 pub fn run_baseline<P, F>(
     graph: &Graph,
     mut factory: F,
-    max_rounds: u64,
-) -> BaselineOutcome<P::Output>
+    config: EngineConfig,
+) -> Result<RunOutcome<P::Output>, EngineError>
 where
     P: BaselineProtocol,
     F: FnMut(Node, &Graph) -> P,
@@ -104,13 +112,17 @@ where
     let mut outbox: Vec<Option<P::Msg>> = (0..arcs).map(|_| None).collect();
     // Per-arc congestion counters, exactly as the seed engine kept them.
     let mut arc_traffic: Vec<u64> = vec![0; arcs];
+    let mut blocked: Vec<congest_graph::Edge> = Vec::new();
+    let mut trace: Option<Vec<u64>> = config.collect_trace.then(Vec::new);
 
-    let mut rounds = 0u64;
-    let mut total_messages = 0u64;
-    let mut max_message_bits = 0usize;
+    let mut stats = RunStats::default();
     let mut round = 0u64;
     loop {
-        assert!(round < max_rounds, "baseline round limit exceeded");
+        if round >= config.max_rounds {
+            return Err(EngineError::RoundLimitExceeded {
+                limit: config.max_rounds,
+            });
+        }
         // Step: split the outbox into per-node slices (seed bookkeeping,
         // including its per-round allocation).
         let mut out_slices: Vec<&mut [Option<P::Msg>]> = Vec::with_capacity(n);
@@ -131,15 +143,32 @@ where
                 inbox: &inbox[lo..lo + deg],
                 outbox: out,
                 done: &mut done[v],
+                max_bits: &mut stats.max_message_bits,
             };
             state.round(&mut ctx);
+        }
+        // Adversary: destroy messages staged on this round's blocked
+        // edges, in both directions, before anything is delivered.
+        if let Some(plan) = &config.faults {
+            plan.blocked_edges_into(round, graph.m(), &mut blocked);
+            for &e in &blocked {
+                let (u, v) = graph.endpoints(e);
+                for (from, to) in [(u, v), (v, u)] {
+                    let port = graph
+                        .port_to(from, to)
+                        .expect("edge endpoints are adjacent");
+                    let slot = &mut outbox[graph.arc_offset(from) + port as usize];
+                    if slot.take().is_some() {
+                        stats.dropped_messages += 1;
+                    }
+                }
+            }
         }
         // Deliver: clear-then-clone through the reverse-arc table.
         let mut delivered = 0u64;
         for arc in 0..arcs {
             match &outbox[graph.reverse_arc(arc)] {
                 Some(msg) => {
-                    max_message_bits = max_message_bits.max(msg.bits());
                     inbox[arc] = Some(msg.clone());
                     arc_traffic[arc] += 1;
                     delivered += 1;
@@ -148,41 +177,47 @@ where
             }
         }
         outbox.iter_mut().for_each(|s| *s = None);
-        total_messages += delivered;
+        stats.total_messages += delivered;
+        if let Some(t) = &mut trace {
+            t.push(delivered);
+        }
         round += 1;
         if delivered > 0 {
-            rounds = round;
+            stats.rounds = round;
         }
         if delivered == 0 && done.iter().all(|&d| d) {
+            stats.iterations = round;
             break;
         }
     }
+    if let Some(t) = &mut trace {
+        t.truncate(stats.rounds as usize);
+    }
     // The seed's post-run congestion fold: per-arc deliveries summed onto
-    // their undirected edge, exactly as the packed engines fold theirs.
-    let mut per_edge: Vec<u64> = vec![0; graph.m()];
+    // their undirected edge.
+    let mut edge_congestion: Vec<u64> = vec![0; graph.m()];
     for v in 0..n as Node {
         let lo = graph.arc_offset(v);
         for (i, &e) in graph.incident_edges(v).iter().enumerate() {
-            per_edge[e as usize] += arc_traffic[lo + i];
+            edge_congestion[e as usize] += arc_traffic[lo + i];
         }
     }
-    let max_edge_congestion = per_edge.iter().copied().max().unwrap_or(0);
-    BaselineOutcome {
+    stats.max_edge_congestion = edge_congestion.iter().copied().max().unwrap_or(0);
+    Ok(RunOutcome {
         outputs: states.into_iter().map(|s| s.finish()).collect(),
-        rounds,
-        total_messages,
-        max_message_bits,
-        edge_congestion: per_edge,
-        max_edge_congestion,
-    }
+        stats,
+        trace,
+        edge_congestion,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_protocol, EngineConfig};
+    use crate::engine::run_protocol;
+    use crate::fault::FaultPlan;
     use crate::protocol::{NodeCtx, Protocol};
-    use congest_graph::generators::torus2d;
+    use congest_graph::generators::{harary, torus2d};
 
     /// One workload, both engines: flood-and-count.
     struct Flood {
@@ -219,15 +254,103 @@ mod tests {
         }
     }
 
+    /// Dense chatter for a fixed number of rounds, folding its inbox.
+    struct Chatter {
+        acc: u64,
+        until: u64,
+    }
+
+    impl Chatter {
+        fn step(&mut self, round: u64, inbox_sum: u64) -> Option<u64> {
+            self.acc = self.acc.wrapping_add(inbox_sum);
+            (round < self.until).then_some(self.acc.wrapping_add(round))
+        }
+    }
+
+    impl Protocol for Chatter {
+        type Msg = u64;
+        type Output = u64;
+        fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+            let sum = ctx.inbox().map(|(_, m)| m).fold(0u64, u64::wrapping_add);
+            match self.step(ctx.round, sum) {
+                Some(m) => ctx.send_all(m),
+                None => ctx.set_done(true),
+            }
+        }
+        fn finish(self) -> u64 {
+            self.acc
+        }
+    }
+
+    impl BaselineProtocol for Chatter {
+        type Msg = u64;
+        type Output = u64;
+        fn round(&mut self, ctx: &mut BaselineCtx<'_, u64>) {
+            let sum = ctx.inbox().map(|(_, &m)| m).fold(0u64, u64::wrapping_add);
+            match self.step(ctx.round, sum) {
+                Some(m) => ctx.send_all(m),
+                None => ctx.set_done(true),
+            }
+        }
+        fn finish(self) -> u64 {
+            self.acc
+        }
+    }
+
     #[test]
     fn baseline_and_packed_engines_agree() {
         let g = torus2d(6, 7);
-        let packed =
-            run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::serial()).unwrap();
-        let base = run_baseline::<Flood, _>(&g, |_, _| Flood { heard_at: None }, 10_000);
+        let flood = || Flood { heard_at: None };
+        let packed = run_protocol(&g, |_, _| flood(), EngineConfig::serial().trace()).unwrap();
+        let base = run_baseline(&g, |_, _| flood(), EngineConfig::serial().trace()).unwrap();
         assert_eq!(packed.outputs, base.outputs);
-        assert_eq!(packed.stats.rounds, base.rounds);
-        assert_eq!(packed.stats.total_messages, base.total_messages);
-        assert_eq!(packed.stats.max_message_bits, base.max_message_bits);
+        assert_eq!(packed.stats, base.stats);
+        assert_eq!(packed.trace, base.trace);
+        assert_eq!(packed.edge_congestion, base.edge_congestion);
+    }
+
+    /// Above the parallel-stepping threshold, under a multi-lane pool: the
+    /// sharded parallel engine must agree with the serial oracle.
+    #[test]
+    fn baseline_matches_parallel_engine_on_dense_chatter() {
+        let g = harary(8, 300);
+        let mk = || Chatter { acc: 1, until: 70 };
+        let live = congest_par::with_threads(4, || {
+            run_protocol(&g, |_, _| mk(), EngineConfig::with_seed(5)).unwrap()
+        });
+        let base = run_baseline(&g, |_, _| mk(), EngineConfig::with_seed(5)).unwrap();
+        assert_eq!(live.outputs, base.outputs);
+        assert_eq!(live.stats, base.stats);
+        assert_eq!(live.edge_congestion, base.edge_congestion);
+    }
+
+    /// Faults: dropped messages are counted, never metered, and the live
+    /// engine drops exactly the same ones.
+    #[test]
+    fn baseline_applies_the_fault_plan_like_the_engine() {
+        let g = harary(6, 40);
+        let mk = || Chatter { acc: 1, until: 12 };
+        let cfg = EngineConfig::serial()
+            .trace()
+            .with_faults(FaultPlan::new(3, 0xFA));
+        let live = run_protocol(&g, |_, _| mk(), cfg.clone()).unwrap();
+        let base = run_baseline(&g, |_, _| mk(), cfg).unwrap();
+        assert!(base.stats.dropped_messages > 0, "adversary must have acted");
+        assert_eq!(live.outputs, base.outputs);
+        assert_eq!(live.stats, base.stats);
+        assert_eq!(live.trace, base.trace);
+        assert_eq!(live.edge_congestion, base.edge_congestion);
+    }
+
+    #[test]
+    fn baseline_round_limit_errors() {
+        let g = torus2d(4, 4);
+        let err = run_baseline(
+            &g,
+            |_, _| Chatter { acc: 1, until: 100 },
+            EngineConfig::serial().max_rounds(10),
+        )
+        .unwrap_err();
+        assert_eq!(err, EngineError::RoundLimitExceeded { limit: 10 });
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! The repaired engine is **bit-identical** to a freshly built one:
 //! `tests/proptest_churn.rs` pins mutate-then-run against
-//! rebuild-then-run across churn schedules × shard counts × meter modes.
+//! rebuild-then-run across churn schedules × shard counts.
 //! Phases between batches keep the resident engine's steady-state
 //! contract — a warm churn cycle (queue → apply → run) allocates nothing
 //! (pinned by `tests/zero_alloc.rs`); only a repair that *grows* an

@@ -41,15 +41,15 @@
 //!
 //! ## Bit-sliced congestion metering
 //!
-//! The default [`MeterMode::BitPlanes`] accumulates per-arc delivery
-//! counts in **bit-sliced counters**: six plane words per occupancy word
-//! (word-major, one cache line) hold each arc's count in binary; adding a
-//! round's delivery bits is a ripple-carry costing ~2 word ops amortized
-//! instead of up to 64 `u32` increments. Planes are flushed into the
-//! `u32` per-arc totals every 63 rounds (and once at the end), keeping
-//! overflow impossible. [`MeterMode::ArcCounters`] keeps the PR 1
-//! increment-per-round scheme for cross-checking and benchmarking; both
-//! modes produce identical [`RunStats`].
+//! Per-arc delivery counts accumulate in **bit-sliced counters**: six
+//! plane words per occupancy word (word-major, one cache line) hold each
+//! arc's count in binary; adding a round's delivery bits is a
+//! ripple-carry costing ~2 word ops amortized instead of up to 64 `u32`
+//! increments. Planes are flushed into the `u32` per-arc totals every 63
+//! rounds (and once at the end), keeping overflow impossible. The
+//! seed-style [`crate::baseline`] engine keeps plain per-arc counters;
+//! the differential tests assert both produce identical [`RunStats`] and
+//! per-edge congestion.
 //!
 //! The round loop performs **zero heap allocation** after setup (enforced
 //! by `tests/zero_alloc.rs`; enabling `collect_trace` appends one `u64`
@@ -66,18 +66,6 @@
 use crate::protocol::Protocol;
 use crate::session::Session;
 use congest_graph::{Graph, Node};
-
-/// How per-arc congestion is accumulated during the deliver sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MeterMode {
-    /// Bit-sliced plane counters flushed every 63 rounds (default; ~2 word
-    /// ops per 64 arcs per round).
-    #[default]
-    BitPlanes,
-    /// The PR 1 scheme: one `u32` increment per delivered arc per round.
-    /// Kept as a cross-checked comparison arm; results are identical.
-    ArcCounters,
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -96,8 +84,6 @@ pub struct EngineConfig {
     /// the pool width (serial runs use one shard). Any value produces
     /// identical results; this only shapes parallel granularity.
     pub shards: Option<usize>,
-    /// Congestion metering implementation (results identical either way).
-    pub meter: MeterMode,
     /// Sparse-round fast-path threshold: rounds whose staged per-arc send
     /// count is at most this take the worklist deliver path instead of
     /// the full shard-region sweep. `None` derives a heuristic from the
@@ -128,7 +114,6 @@ impl Default for EngineConfig {
             max_rounds: 1_000_000,
             parallel: true,
             shards: None,
-            meter: MeterMode::default(),
             sparse_threshold: None,
             collect_trace: false,
             faults: None,
@@ -170,11 +155,6 @@ impl EngineConfig {
     /// Pin the shard count (otherwise derived from the pool width).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
-        self
-    }
-
-    pub fn meter(mut self, meter: MeterMode) -> Self {
-        self.meter = meter;
         self
     }
 
@@ -365,37 +345,44 @@ mod tests {
     }
 
     #[test]
-    fn meter_modes_agree_across_flush_boundaries() {
+    fn bit_planes_match_baseline_counters_across_flush_boundaries() {
+        use crate::baseline::{run_baseline, BaselineCtx, BaselineProtocol};
         /// Chatter that spans several flush periods (> 63 rounds).
         struct LongPulse;
+        impl LongPulse {
+            fn speaks(node: u32, round: u64) -> Option<bool> {
+                (round < 150).then_some(!(node as u64 + round).is_multiple_of(3))
+            }
+        }
         impl Protocol for LongPulse {
             type Msg = u32;
             type Output = ();
             fn round(&mut self, ctx: &mut NodeCtx<'_, u32>) {
-                if ctx.round < 150 {
-                    if !(ctx.node as u64 + ctx.round).is_multiple_of(3) {
-                        ctx.send_all(5);
-                    }
-                } else {
-                    ctx.set_done(true);
+                match Self::speaks(ctx.node, ctx.round) {
+                    Some(true) => ctx.send_all(5),
+                    Some(false) => {}
+                    None => ctx.set_done(true),
+                }
+            }
+            fn finish(self) {}
+        }
+        impl BaselineProtocol for LongPulse {
+            type Msg = u32;
+            type Output = ();
+            fn round(&mut self, ctx: &mut BaselineCtx<'_, u32>) {
+                match Self::speaks(ctx.node, ctx.round) {
+                    Some(true) => ctx.send_all(5),
+                    Some(false) => {}
+                    None => ctx.set_done(true),
                 }
             }
             fn finish(self) {}
         }
         let g = harary(6, 64);
-        let planes = run_protocol(
-            &g,
-            |_, _| LongPulse,
-            EngineConfig::serial().meter(MeterMode::BitPlanes),
-        )
-        .unwrap();
-        let counters = run_protocol(
-            &g,
-            |_, _| LongPulse,
-            EngineConfig::serial().meter(MeterMode::ArcCounters),
-        )
-        .unwrap();
+        let planes = run_protocol(&g, |_, _| LongPulse, EngineConfig::serial()).unwrap();
+        let counters = run_baseline(&g, |_, _| LongPulse, EngineConfig::serial()).unwrap();
         assert_eq!(planes.stats, counters.stats);
+        assert_eq!(planes.edge_congestion, counters.edge_congestion);
         assert!(planes.stats.max_edge_congestion > 63, "spans a flush");
     }
 

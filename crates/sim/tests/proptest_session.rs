@@ -3,7 +3,7 @@
 //! stats, traces, per-edge congestion meters, and the accumulated
 //! [`PhaseLog`] — to the same composition run **per-phase** (a fresh
 //! engine per phase, exactly what `run_protocol` composition did before
-//! sessions), sweeping shard counts × pool widths × meter modes × fault
+//! sessions), sweeping shard counts × pool widths × fault
 //! plans, with the sparse fast path forced both ways and a `u64` phase
 //! reusing a `u128` phase's slab.
 //!
@@ -14,9 +14,7 @@
 
 use congest_graph::{Graph, GraphBuilder};
 use congest_sim::rng::phase_seed;
-use congest_sim::{
-    EngineConfig, FaultPlan, MeterMode, NodeCtx, PhaseHost, PhaseLog, Protocol, RunStats,
-};
+use congest_sim::{EngineConfig, FaultPlan, NodeCtx, PhaseHost, PhaseLog, Protocol, RunStats};
 use proptest::prelude::*;
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -123,7 +121,6 @@ fn run_composition(
     host: &mut PhaseHost<'_>,
     seed: u64,
     shards: usize,
-    meter: MeterMode,
     fault_budget: usize,
     fseed: u64,
 ) -> (Vec<PhaseObs>, PhaseLog) {
@@ -133,7 +130,6 @@ fn run_composition(
         EngineConfig::serial()
             .seed(phase_seed(seed, k))
             .shards(shards)
-            .meter(meter)
             .trace()
     };
     let push = |name: &str, log: &mut PhaseLog, out: congest_sim::PhaseOutcome<'_, u64>| {
@@ -231,17 +227,15 @@ proptest! {
         fseed in any::<u64>(),
     ) {
         for &shards in &[1usize, 5] {
-            for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                let mut resident = PhaseHost::resident(&g);
-                let (res, res_log) =
-                    run_composition(&mut resident, seed, shards, meter, fault_budget, fseed);
-                let mut fresh = PhaseHost::per_phase(&g);
-                let (per, per_log) =
-                    run_composition(&mut fresh, seed, shards, meter, fault_budget, fseed);
-                prop_assert_eq!(&res, &per, "shards={} meter={:?}", shards, meter);
-                prop_assert!(logs_equal(&res_log, &per_log),
-                    "phase logs diverge: shards={} meter={:?}", shards, meter);
-            }
+            let mut resident = PhaseHost::resident(&g);
+            let (res, res_log) =
+                run_composition(&mut resident, seed, shards, fault_budget, fseed);
+            let mut fresh = PhaseHost::per_phase(&g);
+            let (per, per_log) =
+                run_composition(&mut fresh, seed, shards, fault_budget, fseed);
+            prop_assert_eq!(&res, &per, "shards={}", shards);
+            prop_assert!(logs_equal(&res_log, &per_log),
+                "phase logs diverge: shards={}", shards);
         }
     }
 
@@ -256,11 +250,11 @@ proptest! {
     ) {
         let mut fresh = PhaseHost::per_phase(&g);
         let (reference, ref_log) =
-            run_composition(&mut fresh, seed, 4, MeterMode::BitPlanes, 1, seed ^ 0xF);
+            run_composition(&mut fresh, seed, 4, 1, seed ^ 0xF);
         for threads in [2usize, 4] {
             let (par, par_log) = congest_par::with_threads(threads, || {
                 let mut resident = PhaseHost::resident(&g);
-                run_composition(&mut resident, seed, 4, MeterMode::BitPlanes, 1, seed ^ 0xF)
+                run_composition(&mut resident, seed, 4, 1, seed ^ 0xF)
             });
             prop_assert_eq!(&par, &reference, "threads={}", threads);
             prop_assert!(logs_equal(&par_log, &ref_log), "threads={}", threads);

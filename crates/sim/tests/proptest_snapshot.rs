@@ -3,7 +3,7 @@
 //! session (standing in for a fresh process), continue — must be
 //! bit-identical to the uninterrupted run: outputs, stats, traces,
 //! per-edge congestion, and the per-phase state hashes, across
-//! checkpoint positions × shard counts × meter modes × fault plans.
+//! checkpoint positions × shard counts × fault plans.
 //!
 //! Alongside the oracle: state-hash invariance across serial/parallel ×
 //! shard counts (the hash folds only nonzero words, so execution
@@ -15,8 +15,8 @@
 use congest_graph::{Graph, GraphBuilder};
 use congest_sim::rng::phase_seed;
 use congest_sim::{
-    ChurnSession, EngineConfig, FaultPlan, MeterMode, Mutation, NodeCtx, Protocol, RunStats,
-    Session, SessionPool, SnapshotError,
+    ChurnSession, EngineConfig, FaultPlan, Mutation, NodeCtx, Protocol, RunStats, Session,
+    SessionPool, SnapshotError,
 };
 use proptest::prelude::*;
 
@@ -130,14 +130,12 @@ fn run_phase(
     k: u64,
     seed: u64,
     shards: usize,
-    meter: MeterMode,
     fault_budget: usize,
     fseed: u64,
 ) -> PhaseObs {
     let engine = EngineConfig::serial()
         .seed(phase_seed(seed, k))
         .shards(shards)
-        .meter(meter)
         .trace();
     let observe = |out: congest_sim::PhaseOutcome<'_, u64>| {
         (
@@ -241,36 +239,34 @@ proptest! {
         fseed in any::<u64>(),
     ) {
         for &shards in &[1usize, 5] {
-            for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                // Uninterrupted reference.
-                let mut reference = Session::new(&g);
-                let expected: Vec<PhaseObs> = (1..=PHASES)
-                    .map(|k| run_phase(&mut reference, k, seed, shards, meter, fault_budget, fseed))
-                    .collect();
+            // Uninterrupted reference.
+            let mut reference = Session::new(&g);
+            let expected: Vec<PhaseObs> = (1..=PHASES)
+                .map(|k| run_phase(&mut reference, k, seed, shards, fault_budget, fseed))
+                .collect();
 
-                // Interrupted arm: run to the cut, checkpoint, restore.
-                let mut first = Session::new(&g);
-                let mut got: Vec<PhaseObs> = (1..=cut)
-                    .map(|k| run_phase(&mut first, k, seed, shards, meter, fault_budget, fseed))
-                    .collect();
-                let bytes = first.snapshot();
-                drop(first);
+            // Interrupted arm: run to the cut, checkpoint, restore.
+            let mut first = Session::new(&g);
+            let mut got: Vec<PhaseObs> = (1..=cut)
+                .map(|k| run_phase(&mut first, k, seed, shards, fault_budget, fseed))
+                .collect();
+            let bytes = first.snapshot();
+            drop(first);
 
-                let header = congest_sim::snapshot::peek(&bytes).unwrap();
-                prop_assert_eq!(header.fingerprint, g.fingerprint());
-                prop_assert!(header.clean);
-                prop_assert!(!header.has_churn);
+            let header = congest_sim::snapshot::peek(&bytes).unwrap();
+            prop_assert_eq!(header.fingerprint, g.fingerprint());
+            prop_assert!(header.clean);
+            prop_assert!(!header.has_churn);
 
-                let mut resumed = Session::restore(&g, &bytes).unwrap();
-                prop_assert_eq!(resumed.state_hash(), header.state_hash);
-                got.extend(
-                    (cut + 1..=PHASES).map(|k| {
-                        run_phase(&mut resumed, k, seed, shards, meter, fault_budget, fseed)
-                    }),
-                );
-                prop_assert_eq!(&got, &expected,
-                    "cut={} shards={} meter={:?}", cut, shards, meter);
-            }
+            let mut resumed = Session::restore(&g, &bytes).unwrap();
+            prop_assert_eq!(resumed.state_hash(), header.state_hash);
+            got.extend(
+                (cut + 1..=PHASES).map(|k| {
+                    run_phase(&mut resumed, k, seed, shards, fault_budget, fseed)
+                }),
+            );
+            prop_assert_eq!(&got, &expected,
+                "cut={} shards={}", cut, shards);
         }
     }
 
@@ -289,8 +285,7 @@ proptest! {
                     .map(|k| {
                         let mut cfg = EngineConfig::serial()
                             .seed(phase_seed(seed, k))
-                            .shards(shards)
-                            .meter(MeterMode::BitPlanes);
+                            .shards(shards);
                         cfg.parallel = parallel;
                         let out = s
                             .run(

@@ -1,7 +1,7 @@
 //! The wide-batch differential harness: a W-lane [`WideSession`] run must
 //! be **bit-identical, lane by lane, to W sequential [`Session`] runs** —
 //! outputs, [`RunStats`], round traces, and per-edge congestion meters —
-//! sweeping shard counts × meter modes × per-lane fault plans × pool
+//! sweeping shard counts × per-lane fault plans × pool
 //! widths, with the sequential arm's sparse fast path forced both ways
 //! (the wide kernel has no sparse path, so equivalence across both
 //! sequential modes proves it sits in the same result class).
@@ -12,9 +12,7 @@
 //! changing one bit of any result.
 
 use congest_graph::{Graph, GraphBuilder};
-use congest_sim::{
-    EngineConfig, FaultPlan, LaneSpec, MeterMode, NodeCtx, Protocol, Session, WideSession,
-};
+use congest_sim::{EngineConfig, FaultPlan, LaneSpec, NodeCtx, Protocol, Session, WideSession};
 use proptest::prelude::*;
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -220,7 +218,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Non-quiescent RNG-driven chatter: wide ≡ sequential per lane,
-    /// across shard counts × meter modes × faulted lanes, with the
+    /// across shard counts × faulted lanes, with the
     /// sequential arm's sparse fast path forced both off and on.
     #[test]
     fn wide_chatter_matches_sequential(
@@ -233,16 +231,14 @@ proptest! {
         let lanes = mixed_lanes(seed, w, fault_budget, fseed);
         let mk = |_: u32, l: usize, _: &Graph| Chatter { rounds: 6, salt: l as u64 + 1, heard: 0 };
         for &shards in &[1usize, 5] {
-            for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                let config = EngineConfig::serial().shards(shards).meter(meter).trace();
-                let wide = wide_obs(&g, &lanes, mk, config.clone());
-                for &st in &[0usize, usize::MAX] {
-                    let seq = seq_obs(&g, &lanes, mk, config.clone().sparse_threshold(st));
-                    prop_assert_eq!(
-                        &wide, &seq,
-                        "shards={} meter={:?} sparse_threshold={}", shards, meter, st
-                    );
-                }
+            let config = EngineConfig::serial().shards(shards).trace();
+            let wide = wide_obs(&g, &lanes, mk, config.clone());
+            for &st in &[0usize, usize::MAX] {
+                let seq = seq_obs(&g, &lanes, mk, config.clone().sparse_threshold(st));
+                prop_assert_eq!(
+                    &wide, &seq,
+                    "shards={} sparse_threshold={}", shards, st
+                );
             }
         }
     }
@@ -262,12 +258,10 @@ proptest! {
             token: (v as u64).wrapping_mul(0x9E37_79B9).rotate_left(l as u32),
         };
         for &shards in &[1usize, 4] {
-            for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                let config = EngineConfig::serial().shards(shards).meter(meter).trace();
-                let wide = wide_obs(&g, &lanes, mk, config.clone());
-                let seq = seq_obs(&g, &lanes, mk, config);
-                prop_assert_eq!(&wide, &seq, "shards={} meter={:?}", shards, meter);
-            }
+            let config = EngineConfig::serial().shards(shards).trace();
+            let wide = wide_obs(&g, &lanes, mk, config.clone());
+            let seq = seq_obs(&g, &lanes, mk, config);
+            prop_assert_eq!(&wide, &seq, "shards={}", shards);
         }
     }
 
