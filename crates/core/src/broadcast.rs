@@ -20,12 +20,12 @@
 //! Every phase is executed as real message passing and its round count
 //! recorded in a [`PhaseLog`]; the total is the number Theorem 1 bounds.
 
-use crate::bfs::{BfsProtocol, SubgraphBfs};
+use crate::bfs::{BfsNodeInfo, BfsProtocol, SubgraphBfs};
 use crate::convergecast::{Numbering, TreeView};
 use crate::leader::FloodMax;
 use crate::partition::{EdgePartitionProtocol, PartitionParams};
 use crate::pipeline::{expected_checksums, PipeCore, PipeMsg, PipeResult};
-use congest_graph::{Graph, Node, Port};
+use congest_graph::{Graph, Node};
 use congest_sim::{
     EngineConfig, EngineError, LaneSpec, MsgBits, NodeCtx, PackedMsg, PhaseHost, PhaseLog,
     Protocol, RunStats, WideSession,
@@ -329,23 +329,14 @@ pub fn partition_broadcast_hosted(
     let routing = host.run(
         |v, _| {
             let vi = v as usize;
-            let cores = (0..lp)
-                .map(|c| {
-                    let own: Vec<PipeMsg> = ids_by_node[vi]
-                        .iter()
-                        .zip(payloads[vi].iter())
-                        .filter(|(&id, _)| color_of_id(id) == c)
-                        .map(|(&id, &payload)| PipeMsg { id, payload })
-                        .collect();
-                    PipeCore::new(
-                        TreeView::from_bfs(&sub_bfs[vi][c]),
-                        k_per_class[c],
-                        own,
-                        cfg.record_payloads,
-                    )
-                })
-                .collect();
-            ParallelPipeline::new(cores)
+            routing_node(
+                &ids_by_node[vi],
+                &payloads[vi],
+                &sub_bfs[vi],
+                &k_per_class,
+                color_of_id,
+                cfg.record_payloads,
+            )
         },
         cfg.engine(6),
     )?;
@@ -358,9 +349,8 @@ pub fn partition_broadcast_hosted(
         .flat_map(|v| {
             ids_by_node[v]
                 .iter()
-                .zip(payloads[v].iter())
-                .map(|(&id, &p)| (id, p))
-                .collect::<Vec<_>>()
+                .copied()
+                .zip(payloads[v].iter().copied())
         })
         .collect();
     let expected = expected_checksums(all_msgs.iter());
@@ -411,6 +401,30 @@ pub fn partition_broadcast_retrying_hosted(
         }
     }
     Err(last_err.expect("at least one attempt"))
+}
+
+/// Phase 6's per-node factory: bucket this node's messages by class in
+/// one pass (message `id` travels in class `color_of_id(id)`, input order
+/// kept within a class), then build one [`PipeCore`] per class tree.
+pub(crate) fn routing_node(
+    ids: &[u32],
+    payloads: &[u64],
+    trees: &[BfsNodeInfo],
+    k_per_class: &[u64],
+    color_of_id: impl Fn(u32) -> usize,
+    record: bool,
+) -> ParallelPipeline {
+    let mut own: Vec<Vec<PipeMsg>> = vec![Vec::new(); trees.len()];
+    for (&id, &payload) in ids.iter().zip(payloads) {
+        own[color_of_id(id)].push(PipeMsg { id, payload });
+    }
+    let cores = own
+        .into_iter()
+        .zip(trees)
+        .zip(k_per_class)
+        .map(|((own, tree), &k)| PipeCore::new(TreeView::from_bfs(tree), k, own, record))
+        .collect();
+    ParallelPipeline::new(cores)
 }
 
 #[inline]
@@ -589,23 +603,14 @@ pub fn partition_broadcast_wide(
             |v, li, _| {
                 let l = alive[li];
                 let vi = v as usize;
-                let cores = (0..lp)
-                    .map(|c| {
-                        let own: Vec<PipeMsg> = ids_by_node[l][vi]
-                            .iter()
-                            .zip(payloads[vi].iter())
-                            .filter(|(&id, _)| color_of_id(id) == c)
-                            .map(|(&id, &payload)| PipeMsg { id, payload })
-                            .collect();
-                        PipeCore::new(
-                            TreeView::from_bfs(&sub_bfs[l][vi][c]),
-                            k_per_class[l][c],
-                            own,
-                            cfg.record_payloads,
-                        )
-                    })
-                    .collect();
-                ParallelPipeline::new(cores)
+                routing_node(
+                    &ids_by_node[l][vi],
+                    &payloads[vi],
+                    &sub_bfs[l][vi],
+                    &k_per_class[l],
+                    color_of_id,
+                    cfg.record_payloads,
+                )
             },
             econf.clone(),
         )?;
@@ -628,9 +633,8 @@ pub fn partition_broadcast_wide(
                 .flat_map(|v| {
                     ids_by_node[l][v]
                         .iter()
-                        .zip(payloads[v].iter())
-                        .map(|(&id, &p)| (id, p))
-                        .collect::<Vec<_>>()
+                        .copied()
+                        .zip(payloads[v].iter().copied())
                 })
                 .collect();
             let expected = expected_checksums(all_msgs.iter());
@@ -691,6 +695,11 @@ pub struct ParallelPipeline {
 
 impl ParallelPipeline {
     pub fn new(cores: Vec<PipeCore>) -> Self {
+        assert!(
+            cores.len() <= u16::MAX as usize + 1,
+            "the u16 class tag holds at most 65536 classes, got {}",
+            cores.len()
+        );
         ParallelPipeline { cores }
     }
 }
@@ -700,35 +709,13 @@ impl Protocol for ParallelPipeline {
     type Output = PipeResult;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, ColoredPipeMsg>) {
-        let arrivals: Vec<(Port, ColoredPipeMsg)> = ctx.inbox().collect();
-        for (p, m) in arrivals {
-            self.cores[m.color as usize].on_receive(p, m.inner);
+        ctx.inbox()
+            .for_each(|(p, m)| self.cores[m.color as usize].on_receive(p, m.inner));
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            let color = c as u16;
+            core.transmit(ctx, |inner| ColoredPipeMsg { color, inner });
         }
-        for c in 0..self.cores.len() {
-            let (up, down) = self.cores[c].emit();
-            if let Some(m) = up {
-                let pp = self.cores[c].tree().parent_port.expect("non-root sends up");
-                ctx.send(
-                    pp,
-                    ColoredPipeMsg {
-                        color: c as u16,
-                        inner: m,
-                    },
-                );
-            }
-            if let Some(m) = down {
-                for &child in &self.cores[c].tree().children_ports.clone() {
-                    ctx.send(
-                        child,
-                        ColoredPipeMsg {
-                            color: c as u16,
-                            inner: m,
-                        },
-                    );
-                }
-            }
-        }
-        ctx.set_done(self.cores.iter().all(|c| c.complete()));
+        ctx.set_done(self.cores.iter().all(PipeCore::complete));
     }
 
     fn finish(self) -> PipeResult {

@@ -144,7 +144,7 @@ impl Protocol for Aggregate {
         }
         if let (Some(r), false) = (self.result, self.forwarded_down) {
             self.forwarded_down = true;
-            for &c in &self.tree.children_ports.clone() {
+            for &c in &self.tree.children_ports {
                 ctx.send(c, UpDown::Down(r));
             }
         }
@@ -285,7 +285,7 @@ impl Protocol for Numbering {
             // Own items take [start, start + x); children follow in port
             // order, each child's subtree occupying a contiguous block.
             let mut cursor = start + self.x;
-            for (i, &c) in self.tree.children_ports.clone().iter().enumerate() {
+            for (i, &c) in self.tree.children_ports.iter().enumerate() {
                 let cnt = self.child_counts[i].expect("counts complete");
                 ctx.send(c, NumberingMsg::Down(cursor, total));
                 cursor += cnt;

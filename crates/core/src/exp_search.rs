@@ -14,11 +14,11 @@
 //! (successful) iteration — the `O(log(δ/λ))` factor the paper notes.
 
 use crate::bfs::{BfsProtocol, SubgraphBfs};
-use crate::broadcast::{BroadcastConfig, BroadcastInput, BroadcastOutcome, ParallelPipeline};
+use crate::broadcast::{routing_node, BroadcastConfig, BroadcastInput, BroadcastOutcome};
 use crate::convergecast::{AggOp, Aggregate, Numbering, TreeView};
 use crate::leader::FloodMax;
 use crate::partition::{EdgePartitionProtocol, PartitionParams};
-use crate::pipeline::{expected_checksums, PipeCore, PipeMsg};
+use crate::pipeline::expected_checksums;
 use congest_graph::Graph;
 use congest_sim::{EngineConfig, PhaseHost, PhaseLog};
 
@@ -144,23 +144,14 @@ pub fn exp_search_broadcast(
             let routing = host.run(
                 |v, _| {
                     let vi = v as usize;
-                    let cores = (0..lp)
-                        .map(|c| {
-                            let own: Vec<PipeMsg> = ids_by_node[vi]
-                                .iter()
-                                .zip(payloads[vi].iter())
-                                .filter(|(&id, _)| color_of_id(id) == c)
-                                .map(|(&id, &payload)| PipeMsg { id, payload })
-                                .collect();
-                            PipeCore::new(
-                                TreeView::from_bfs(&sub_bfs[vi][c]),
-                                k_per_class[c],
-                                own,
-                                cfg.record_payloads,
-                            )
-                        })
-                        .collect();
-                    ParallelPipeline::new(cores)
+                    routing_node(
+                        &ids_by_node[vi],
+                        &payloads[vi],
+                        &sub_bfs[vi],
+                        &k_per_class,
+                        color_of_id,
+                        cfg.record_payloads,
+                    )
                 },
                 engine(13 + 4 * iter),
             )?;
@@ -174,9 +165,8 @@ pub fn exp_search_broadcast(
                 .flat_map(|v| {
                     ids_by_node[v]
                         .iter()
-                        .zip(payloads[v].iter())
-                        .map(|(&id, &p)| (id, p))
-                        .collect::<Vec<_>>()
+                        .copied()
+                        .zip(payloads[v].iter().copied())
                 })
                 .collect();
             let expected = expected_checksums(all_msgs.iter());

@@ -172,16 +172,26 @@ impl PipeCore {
         }
     }
 
-    /// What to transmit this round: at most one message up (to the parent)
-    /// and one message down (replicated to every child port).
-    pub fn emit(&mut self) -> (Option<PipeMsg>, Option<PipeMsg>) {
-        let up = if self.is_root() {
-            None
-        } else {
-            self.up_queue.pop_front()
-        };
-        let down = self.down_queue.pop_front();
-        (up, down)
+    /// Transmit this round's share: at most one message up (to the
+    /// parent) and one message down (replicated to every child port),
+    /// each wrapped into the protocol's wire type by `wrap`. The tree
+    /// ports are borrowed in place, so the step allocates nothing.
+    #[inline]
+    pub fn transmit<M: PackedMsg>(
+        &mut self,
+        ctx: &mut NodeCtx<'_, M>,
+        wrap: impl Fn(PipeMsg) -> M,
+    ) {
+        if let Some(parent) = self.tree.parent_port {
+            if let Some(m) = self.up_queue.pop_front() {
+                ctx.send(parent, wrap(m));
+            }
+        }
+        if let Some(m) = self.down_queue.pop_front() {
+            for &c in &self.tree.children_ports {
+                ctx.send(c, wrap(m));
+            }
+        }
     }
 
     /// Nothing queued for transmission.
@@ -192,10 +202,6 @@ impl PipeCore {
     /// All `k` messages delivered and nothing left to send.
     pub fn complete(&self) -> bool {
         self.delivered >= self.k && self.quiescent()
-    }
-
-    pub fn tree(&self) -> &TreeView {
-        &self.tree
     }
 
     pub fn into_result(self) -> PipeResult {
@@ -226,19 +232,8 @@ impl Protocol for TreePipeline {
     type Output = PipeResult;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, PipeMsg>) {
-        let arrivals: Vec<(Port, PipeMsg)> = ctx.inbox().collect();
-        for (p, m) in arrivals {
-            self.core.on_receive(p, m);
-        }
-        let (up, down) = self.core.emit();
-        if let Some(m) = up {
-            ctx.send(self.core.tree.parent_port.unwrap(), m);
-        }
-        if let Some(m) = down {
-            for &c in &self.core.tree.children_ports.clone() {
-                ctx.send(c, m);
-            }
-        }
+        ctx.inbox().for_each(|(p, m)| self.core.on_receive(p, m));
+        self.core.transmit(ctx, |m| m);
         ctx.set_done(self.core.complete());
     }
 

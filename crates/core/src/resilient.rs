@@ -22,7 +22,7 @@ use crate::convergecast::{Numbering, TreeView};
 use crate::leader::FloodMax;
 use crate::partition::{EdgePartitionProtocol, PartitionParams};
 use crate::pipeline::{expected_checksums, PipeCore, PipeMsg};
-use congest_graph::{Graph, Port};
+use congest_graph::Graph;
 use congest_sim::{EngineConfig, FaultPlan, NodeCtx, PhaseHost, PhaseLog, Protocol};
 use std::collections::HashMap;
 
@@ -48,9 +48,16 @@ pub struct ReplicatedPipeline {
 
 impl ReplicatedPipeline {
     /// `own` must list this node's initial messages once per replica
-    /// (i.e. already expanded to (class, msg) pairs).
-    pub fn new(cores: Vec<PipeCore>, own_unique: &[(u32, u64)]) -> Self {
-        let mut seen = HashMap::new();
+    /// (i.e. already expanded to (class, msg) pairs). `k` is the number of
+    /// distinct messages in the broadcast: the dedup table is sized for
+    /// it up front, so `round` never rehashes.
+    pub fn new(cores: Vec<PipeCore>, k: u64, own_unique: &[(u32, u64)]) -> Self {
+        assert!(
+            cores.len() <= u16::MAX as usize + 1,
+            "the u16 class tag holds at most 65536 classes, got {}",
+            cores.len()
+        );
+        let mut seen = HashMap::with_capacity(k as usize);
         for &(id, payload) in own_unique {
             seen.insert(id, payload);
         }
@@ -73,34 +80,13 @@ impl Protocol for ReplicatedPipeline {
     type Output = DedupResult;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, ColoredPipeMsg>) {
-        let arrivals: Vec<(Port, ColoredPipeMsg)> = ctx.inbox().collect();
-        for (p, m) in arrivals {
+        ctx.inbox().for_each(|(p, m)| {
             self.record(m.inner.id, m.inner.payload);
             self.cores[m.color as usize].on_receive(p, m.inner);
-        }
-        for c in 0..self.cores.len() {
-            let (up, down) = self.cores[c].emit();
-            if let Some(m) = up {
-                let pp = self.cores[c].tree().parent_port.expect("non-root sends up");
-                ctx.send(
-                    pp,
-                    ColoredPipeMsg {
-                        color: c as u16,
-                        inner: m,
-                    },
-                );
-            }
-            if let Some(m) = down {
-                for &child in &self.cores[c].tree().children_ports.clone() {
-                    ctx.send(
-                        child,
-                        ColoredPipeMsg {
-                            color: c as u16,
-                            inner: m,
-                        },
-                    );
-                }
-            }
+        });
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            let color = c as u16;
+            core.transmit(ctx, |inner| ColoredPipeMsg { color, inner });
         }
         // Under faults a core may stall forever short of its k_c; local
         // termination is therefore quiescence, and delivery is judged
@@ -244,14 +230,11 @@ pub fn resilient_broadcast_hosted(
     // Routing with replication, under attack.
     let cap = k.max(1).div_ceil(lp as u64);
     let base_color = |id: u32| ((id as u64 / cap).min(lp as u64 - 1)) as usize;
-    let copy_colors =
-        |id: u32| -> Vec<usize> { (0..r).map(|i| (base_color(id) + i) % lp).collect() };
+    let copy_colors = |id: u32| (0..r).map(move |i| (base_color(id) + i) % lp);
     let mut k_per_class = vec![0u64; lp];
-    for ids in &ids_by_node {
-        for &id in ids {
-            for c in copy_colors(id) {
-                k_per_class[c] += 1;
-            }
+    for &id in ids_by_node.iter().flatten() {
+        for c in copy_colors(id) {
+            k_per_class[c] += 1;
         }
     }
     let mut routing_engine = engine(6);
@@ -261,25 +244,23 @@ pub fn resilient_broadcast_hosted(
             let vi = v as usize;
             let own_unique: Vec<(u32, u64)> = ids_by_node[vi]
                 .iter()
-                .zip(payloads[vi].iter())
-                .map(|(&id, &p)| (id, p))
+                .copied()
+                .zip(payloads[vi].iter().copied())
                 .collect();
-            let cores = (0..lp)
-                .map(|c| {
-                    let own: Vec<PipeMsg> = own_unique
-                        .iter()
-                        .filter(|(id, _)| copy_colors(*id).contains(&c))
-                        .map(|&(id, payload)| PipeMsg { id, payload })
-                        .collect();
-                    PipeCore::new(
-                        TreeView::from_bfs(&sub_bfs[vi][c]),
-                        k_per_class[c],
-                        own,
-                        false,
-                    )
-                })
+            // Bucket the copies by class in one pass, input order kept.
+            let mut own: Vec<Vec<PipeMsg>> = vec![Vec::new(); lp];
+            for &(id, payload) in &own_unique {
+                for c in copy_colors(id) {
+                    own[c].push(PipeMsg { id, payload });
+                }
+            }
+            let cores = own
+                .into_iter()
+                .zip(&sub_bfs[vi])
+                .zip(&k_per_class)
+                .map(|((own, tree), &kc)| PipeCore::new(TreeView::from_bfs(tree), kc, own, false))
                 .collect();
-            ReplicatedPipeline::new(cores, &own_unique)
+            ReplicatedPipeline::new(cores, k, &own_unique)
         },
         routing_engine,
     )?;
@@ -291,9 +272,8 @@ pub fn resilient_broadcast_hosted(
         .flat_map(|v| {
             ids_by_node[v]
                 .iter()
-                .zip(payloads[v].iter())
-                .map(|(&id, &p)| (id, p))
-                .collect::<Vec<_>>()
+                .copied()
+                .zip(payloads[v].iter().copied())
         })
         .collect();
     let expected = expected_checksums(all_msgs.iter());

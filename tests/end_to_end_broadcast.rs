@@ -143,3 +143,47 @@ fn textbook_on_lambda_one_graph() {
     let out = textbook_broadcast(&g, &input, 13).unwrap();
     assert!(out.all_delivered());
 }
+
+/// Golden pin for speed-only changes to the protocol layer: one fixed
+/// Theorem 1 instance in the paper's regime (λ′ = 3 parallel trees) must
+/// reproduce its whole phase log — rounds, engine iterations, messages,
+/// congestion, widest message and the post-phase engine state hash —
+/// exactly as recorded before the allocation-free `round()` rewrite.
+#[test]
+fn theorem1_phase_log_is_pinned() {
+    let g = harary(32, 128);
+    let input = BroadcastInput::random_spread(&g, 512, 0x601D);
+    let out = partition_broadcast(&g, &input, 32, 0x601D).unwrap();
+    assert_eq!(out.num_subgraphs, 3);
+    assert!(out.all_delivered());
+    // (phase, rounds, iterations, messages, max congestion, max message
+    // bits, dropped, state hash)
+    type Row<'a> = (&'a str, u64, u64, u64, u64, usize, u64, u64);
+    #[rustfmt::skip]
+    let golden: [Row; 6] = [
+        ("leader-election", 5, 6, 14208, 10, 32, 0, 0x77044b9d4c4a90b9),
+        ("bfs", 5, 6, 4096, 2, 33, 0, 0x62ebcbede056686a),
+        ("numbering", 8, 9, 254, 2, 127, 0, 0x6431c20ebbbb4880),
+        ("edge-partition", 1, 2, 2048, 1, 32, 0, 0xf0431864fb5d75ff),
+        ("subgraph-bfs", 6, 7, 4096, 2, 49, 0, 0x62ebcbede056686a),
+        ("parallel-routing", 176, 177, 66476, 240, 112, 0, 0x785876e74c1da578),
+    ];
+    let got: Vec<Row> = out
+        .phases
+        .phases()
+        .zip(out.phases.hashes())
+        .map(|((name, st), (_, h))| {
+            (
+                name,
+                st.rounds,
+                st.iterations,
+                st.total_messages,
+                st.max_edge_congestion,
+                st.max_message_bits,
+                st.dropped_messages,
+                h.expect("every Theorem 1 phase records its state hash"),
+            )
+        })
+        .collect();
+    assert_eq!(got, golden);
+}
